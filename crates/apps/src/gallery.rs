@@ -124,7 +124,7 @@ mod tests {
         use gcr_exec::{ExecEngine, Machine};
 
         for k in gallery() {
-            for engine in [ExecEngine::Interp, ExecEngine::Compiled, ExecEngine::Vm] {
+            for engine in [ExecEngine::Interp, ExecEngine::Vm] {
                 let (prog, binding) = k.build();
                 let mut sink = gcr_cache::CapacitySweepSink::new(64, &[8192]);
                 let mut m = Machine::new(&prog, binding).with_engine(engine);

@@ -33,16 +33,13 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let scale: f64 = get("--size-scale").map(|s| s.parse().unwrap()).unwrap_or(1.0);
-    let steps: usize = get("--steps").map(|s| s.parse().unwrap()).unwrap_or(STEPS);
-    let ablation = args.iter().any(|a| a == "--ablation");
-    let only = get("--app");
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/fig10.json".into());
+    let flags = gcr_bench::cli::Flags::from_env();
+    let scale: f64 = flags.num("--size-scale", 1.0);
+    let steps: usize = flags.num("--steps", STEPS);
+    let ablation = flags.has("--ablation");
+    let only = flags.value("--app");
+    let threads: usize = flags.num("--threads", 0);
+    let json_path = flags.value("--json").unwrap_or_else(|| "results/fig10.json".into());
     let mut set = ReportSet::new("fig10", "Figure 10: effect of transformations");
 
     // One flat job list across apps and strategies, so the pool balances

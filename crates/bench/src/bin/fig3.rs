@@ -43,13 +43,10 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/fig3.json".into());
+    let flags = gcr_bench::cli::Flags::from_env();
+    let quick = flags.has("--quick");
+    let threads: usize = flags.num("--threads", 0);
+    let json_path = flags.value("--json").unwrap_or_else(|| "results/fig3.json".into());
     let adi_sizes: &[i64] = if quick { &[26, 50] } else { &[50, 100] };
     let sp_sizes: &[i64] = if quick { &[8, 14] } else { &[14, 28] };
     let mut set = ReportSet::new("fig3", "Figure 3: effect of reuse-driven execution");

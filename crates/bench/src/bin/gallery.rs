@@ -16,14 +16,11 @@ use gcr_bench::gallery::{run_gallery, GALLERY_HIERARCHY};
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
+    let flags = gcr_bench::cli::Flags::from_env();
+    let threads: usize = flags.num("--threads", 0);
     let threads = if threads == 0 { gcr_par::thread_count() } else { threads };
-    let json_path = get("--json").unwrap_or_else(|| "results/gallery.json".into());
-    let check = args.iter().any(|a| a == "--check");
+    let json_path = flags.value("--json").unwrap_or_else(|| "results/gallery.json".into());
+    let check = flags.has("--check");
 
     println!("gallery: {GALLERY_HIERARCHY} on {threads} threads (VM engine)");
     let start = Instant::now();

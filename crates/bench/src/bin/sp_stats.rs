@@ -21,12 +21,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/sp_stats.json".into());
+    let flags = gcr_bench::cli::Flags::from_env();
+    let threads: usize = flags.num("--threads", 0);
+    let json_path = flags.value("--json").unwrap_or_else(|| "results/sp_stats.json".into());
     let mut set = ReportSet::new("sp_stats", "Section 4.4: SP transformation statistics");
 
     let orig = gcr_apps::sp::program();

@@ -15,6 +15,7 @@
 //!
 //! Usage: `static_bench [--evals N] [--json PATH]`
 
+use gcr_bench::cli::{merge_section, Flags};
 use gcr_cache::CapacitySweepSink;
 use gcr_cli::report::Json;
 use gcr_ir::ParamBinding;
@@ -42,12 +43,9 @@ for i = 1, N {
 ";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let evals: u32 = get("--evals").map(|v| v.parse().unwrap()).unwrap_or(1000);
-    let json_path = get("--json").unwrap_or_else(|| "BENCH_sweep.json".into());
+    let flags = Flags::from_env();
+    let evals: u32 = flags.num("--evals", 1000);
+    let json_path = flags.value("--json").unwrap_or_else(|| "BENCH_sweep.json".into());
 
     let prog = gcr_frontend::parse(SRC).expect("benchmark program parses");
     let spec = gcr_static::SweepSpec::new(LINE, CAPACITIES.to_vec(), 1);
@@ -148,7 +146,10 @@ fn main() {
         ("evals_per_point", Json::U(u64::from(evals))),
         ("sizes", Json::A(rows)),
     ]);
-    merge_section(&json_path, "static_bench", section);
+    if let Err(e) = merge_section(&json_path, vec![("static_bench", section)]) {
+        eprintln!("could not write {json_path}: {e}");
+        std::process::exit(1);
+    }
     println!("static_bench section merged into {json_path}");
 }
 
@@ -158,21 +159,4 @@ fn big_json(v: u128) -> Json {
     } else {
         Json::F(v as f64)
     }
-}
-
-/// Replaces (or appends) one top-level section of the benchmark JSON,
-/// preserving everything the other benchmark binaries wrote.
-fn merge_section(path: &str, key: &'static str, section: Json) {
-    let base = std::fs::read_to_string(path).ok().and_then(|t| Json::parse(&t).ok());
-    let json = match base {
-        Some(Json::O(mut fields)) => {
-            match fields.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = section,
-                None => fields.push((key, section)),
-            }
-            Json::O(fields)
-        }
-        _ => Json::O(vec![("schema", Json::S("gcr-bench-sweep/v1".into())), (key, section)]),
-    };
-    std::fs::write(path, json.render()).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
 }

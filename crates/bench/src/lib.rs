@@ -7,6 +7,7 @@
 //! engine (worker-pool fan-out + content-keyed measurement memoization)
 //! those binaries run on.
 
+pub mod cli;
 pub mod gallery;
 pub mod sweep;
 

@@ -495,7 +495,7 @@ pub fn measure_strategy_report_cached(
 }
 
 /// [`measure_strategy_report_cached`] with an explicit execution engine.
-/// Both engines produce the identical measurement (the compiled tape is
+/// Both engines produce the identical measurement (the VM is
 /// observationally equivalent to the interpreter), so the cache key is
 /// engine-agnostic — the engine only changes how long a cold miss takes.
 #[allow(clippy::too_many_arguments)]
@@ -600,9 +600,9 @@ pub fn run_jobs(
     run_jobs_with(threads, cache, generator, jobs, ExecEngine::from_env().unwrap_or_default())
 }
 
-/// [`run_jobs`] with an explicit execution engine for every job — how
-/// `sweep_bench` times a cold interpreter sweep against a cold compiled
-/// sweep without touching `GCR_EXEC` (env mutation is racy under threads).
+/// [`run_jobs`] with an explicit execution engine for every job — how a
+/// caller compares a cold interpreter sweep against a cold VM sweep
+/// without touching `GCR_EXEC` (env mutation is racy under threads).
 pub fn run_jobs_with(
     threads: usize,
     cache: &MeasureCache,
@@ -703,10 +703,10 @@ mod tests {
         let (jobs, _) = small_jobs(&apps);
         let interp_cache = MeasureCache::new();
         let interp = run_jobs_with(2, &interp_cache, "t", &jobs, ExecEngine::Interp);
-        let compiled_cache = MeasureCache::new();
-        let compiled = run_jobs_with(2, &compiled_cache, "t", &jobs, ExecEngine::Compiled);
-        assert_eq!(interp.len(), compiled.len());
-        for (i, c) in interp.iter().zip(&compiled) {
+        let vm_cache = MeasureCache::new();
+        let vm = run_jobs_with(2, &vm_cache, "t", &jobs, ExecEngine::Vm);
+        assert_eq!(interp.len(), vm.len());
+        for (i, c) in interp.iter().zip(&vm) {
             let (i, c) = (i.as_ref().unwrap(), c.as_ref().unwrap());
             assert_eq!(i.0.label, c.0.label);
             assert_eq!(i.0.stats, c.0.stats);

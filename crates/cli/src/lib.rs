@@ -78,7 +78,7 @@ pub struct Options {
     /// Interpreter fuel budget for oracle checks and `--simulate` runs.
     pub fuel: Option<u64>,
     /// Execution engine for `--simulate`, `--profile`, `--reuse-hist` and
-    /// `--mrc` runs (`None` defers to `GCR_EXEC` / the compiled default).
+    /// `--mrc` runs (`None` defers to `GCR_EXEC` / the VM default).
     pub exec: Option<ExecEngine>,
     /// Realistic hierarchy descriptor to measure (`--hierarchy`), e.g.
     /// `l1=8K/32/4,l2=64K/128/fa,prefetch=next-line`.
@@ -156,8 +156,7 @@ options:
                      --simulate (terminates runaway programs)
   --exec <engine>    execution engine for measurement runs: vm (default;
                      register bytecode VM with superinstructions and
-                     strip execution), compiled (bytecode tape with
-                     affine address walkers), or interp (the reference
+                     strip execution) or interp (the reference
                      tree-walking interpreter); overrides GCR_EXEC
 ";
 
@@ -806,16 +805,16 @@ for i = 1, N {
     fn parses_exec_flag() {
         let o = parse_args(&args(&["x.loop", "--exec", "interp"])).unwrap();
         assert_eq!(o.exec, Some(ExecEngine::Interp));
-        let o = parse_args(&args(&["x.loop", "--exec", "compiled"])).unwrap();
-        assert_eq!(o.exec, Some(ExecEngine::Compiled));
         let o = parse_args(&args(&["x.loop", "--exec", "vm"])).unwrap();
         assert_eq!(o.exec, Some(ExecEngine::Vm));
         assert_eq!(parse_args(&args(&["x.loop"])).unwrap().exec, None);
-        let err = parse_args(&args(&["x.loop", "--exec", "jit"])).unwrap_err();
-        assert!(
-            err.to_string().contains("interp|compiled|vm"),
-            "rejection must list valid engines: {err}"
-        );
+        for retired in ["jit", "compiled"] {
+            let err = parse_args(&args(&["x.loop", "--exec", retired])).unwrap_err();
+            assert!(
+                err.to_string().contains("interp|vm"),
+                "rejection must list valid engines: {err}"
+            );
+        }
         assert!(parse_args(&args(&["x.loop", "--exec"])).is_err());
     }
 
@@ -869,10 +868,8 @@ for i = 1, N {
             run_source(SRC, &o).unwrap()
         };
         let a = run_with("interp");
-        let b = run_with("compiled");
-        let c = run_with("vm");
-        assert_eq!(a, b, "interp and compiled engines must report identical hierarchy counts");
-        assert_eq!(a, c, "interp and vm engines must report identical hierarchy counts");
+        let b = run_with("vm");
+        assert_eq!(a, b, "interp and vm engines must report identical hierarchy counts");
     }
 
     #[test]
@@ -885,10 +882,8 @@ for i = 1, N {
             run_source(SRC, &o).unwrap()
         };
         let a = run_with("interp");
-        let b = run_with("compiled");
-        let c = run_with("vm");
-        assert_eq!(a, b, "interp and compiled engines must report identical miss counts");
-        assert_eq!(a, c, "interp and vm engines must report identical miss counts");
+        let b = run_with("vm");
+        assert_eq!(a, b, "interp and vm engines must report identical miss counts");
     }
 
     #[test]

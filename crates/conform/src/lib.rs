@@ -5,7 +5,7 @@
 //! Every measured claim in the reproduction rests on a handful of
 //! universals that are individually cheap to check on *one* program:
 //!
-//! 1. the compiled tape engine is observationally identical to the
+//! 1. the register bytecode VM is observationally identical to the
 //!    reference interpreter (same events, bit-identical memory);
 //! 2. the fail-safe optimizer preserves program semantics on every rung of
 //!    its degradation ladder;

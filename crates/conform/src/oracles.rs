@@ -7,7 +7,7 @@
 //!
 //! | oracle | invariant | compared artifacts |
 //! |--------|-----------|--------------------|
-//! | [`Oracle::Engine`]   | interpreter ≡ compiled tape | event stream, stats, f64 bits, fuel |
+//! | [`Oracle::Engine`]   | interpreter ≡ VM | event stream, stats, f64 bits, fuel |
 //! | [`Oracle::Optimize`] | `optimize_checked` preserves semantics on every ladder rung | final array contents vs original |
 //! | [`Oracle::Sweep`]    | single-pass sweep ≡ per-capacity LRU; inclusion property | exact miss counts |
 //! | [`Oracle::Profile`]  | reuse profiles are internally consistent | histogram masses |
@@ -23,10 +23,10 @@ use gcr_ir::{ParamBinding, Program, StmtId};
 use gcr_reuse::{Histogram, ProfileSink, ReuseDistanceAnalyzer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One of the six conformance oracles.
+/// One of the seven conformance oracles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Oracle {
-    /// Differential interpreter-vs-compiled execution.
+    /// Differential interpreter-vs-VM execution.
     Engine,
     /// Optimizer semantic preservation across the degradation ladder.
     Optimize,
@@ -115,7 +115,7 @@ fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
 // ---------------------------------------------------------------- oracle 1
 
 /// One observable event: a traced access or an instance boundary. The
-/// compiled engine must reproduce the interpreter's stream exactly.
+/// VM must reproduce the interpreter's stream exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     Access { addr: u64, array: usize, ref_id: usize, stmt: usize, is_write: bool },
@@ -167,35 +167,30 @@ fn run_engine(
     Run { events: cap.0, stats: m.stats(), mem, outcome }
 }
 
-/// Oracle 1: the compiled tape engine *and* the register bytecode VM must
-/// each be observationally identical to the interpreter — same event
-/// stream (accesses *and* instance boundaries, in order), same statistics,
-/// bit-identical `f64` memory, and the same fuel-exhaustion behaviour —
-/// under several layouts. A three-way interp≡compiled≡vm check: both
-/// derived engines are differenced against the same reference runs.
+/// Oracle 1: the register bytecode VM must be observationally identical
+/// to the interpreter — same event stream (accesses *and* instance
+/// boundaries, in order), same statistics, bit-identical `f64` memory, and
+/// the same fuel-exhaustion behaviour — under several layouts.
 fn engine_diff(prog: &Program) -> Result<(), String> {
     let binding = ParamBinding::new(vec![12; prog.params.len()]);
     let layouts = [
         ("plain", DataLayout::column_major(prog, &binding, 0)),
         ("padded", DataLayout::column_major(prog, &binding, 64)),
     ];
-    let derived = [ExecEngine::Compiled, ExecEngine::Vm];
     for (label, layout) in &layouts {
         // The generated grammar stays inside the compiler's domain; a
         // fallback to the interpreter would silently void the comparison.
-        let mut probe = Machine::with_layout(prog, binding.clone(), layout.clone())
-            .with_engine(ExecEngine::Compiled);
+        let mut probe =
+            Machine::with_layout(prog, binding.clone(), layout.clone()).with_engine(ExecEngine::Vm);
         if !probe.compiles() {
             return Err(format!("program unexpectedly outside compiler domain ({label} layout)"));
         }
         for steps in [1usize, 2] {
             let a = run_engine(prog, &binding, layout, ExecEngine::Interp, steps, FUEL);
-            for engine in derived {
-                let b = run_engine(prog, &binding, layout, engine, steps, FUEL);
-                compare_runs(label, engine, steps, &a, &b)?;
-            }
+            let b = run_engine(prog, &binding, layout, ExecEngine::Vm, steps, FUEL);
+            compare_runs(label, steps, &a, &b)?;
         }
-        // Fuel parity: starve all engines with the fuel that lets the
+        // Fuel parity: starve both engines with the fuel that lets the
         // interpreter get roughly halfway, and require the identical
         // error and identical (prefix) event stream.
         let full = run_engine(prog, &binding, layout, ExecEngine::Interp, 1, FUEL);
@@ -203,48 +198,36 @@ fn engine_diff(prog: &Program) -> Result<(), String> {
         if spent > 2 {
             let short = spent / 2;
             let a = run_engine(prog, &binding, layout, ExecEngine::Interp, 1, short);
-            for engine in derived {
-                let b = run_engine(prog, &binding, layout, engine, 1, short);
-                if a.outcome != b.outcome {
-                    return Err(format!(
-                        "fuel {short} outcome diverged ({label}): interp {:?} vs {} {:?}",
-                        a.outcome,
-                        engine.name(),
-                        b.outcome
-                    ));
-                }
-                if a.events != b.events {
-                    return Err(format!(
-                        "fuel {short} event prefix diverged ({label}): interp {} events, {} {}",
-                        a.events.len(),
-                        engine.name(),
-                        b.events.len()
-                    ));
-                }
+            let b = run_engine(prog, &binding, layout, ExecEngine::Vm, 1, short);
+            if a.outcome != b.outcome {
+                return Err(format!(
+                    "fuel {short} outcome diverged ({label}): interp {:?} vs vm {:?}",
+                    a.outcome, b.outcome
+                ));
+            }
+            if a.events != b.events {
+                return Err(format!(
+                    "fuel {short} event prefix diverged ({label}): interp {} events, vm {}",
+                    a.events.len(),
+                    b.events.len()
+                ));
             }
         }
     }
     Ok(())
 }
 
-fn compare_runs(
-    label: &str,
-    engine: ExecEngine,
-    steps: usize,
-    a: &Run,
-    b: &Run,
-) -> Result<(), String> {
-    let name = engine.name();
+fn compare_runs(label: &str, steps: usize, a: &Run, b: &Run) -> Result<(), String> {
     if a.outcome != b.outcome {
         return Err(format!(
-            "outcome diverged ({label}, steps={steps}): interp {:?} vs {name} {:?}",
+            "outcome diverged ({label}, steps={steps}): interp {:?} vs vm {:?}",
             a.outcome, b.outcome
         ));
     }
     if a.events != b.events {
         let at = a.events.iter().zip(&b.events).position(|(x, y)| x != y);
         return Err(format!(
-            "event streams diverged ({label}, steps={steps}): interp {} events vs {name} {}, first diff at {:?}: {:?} vs {:?}",
+            "event streams diverged ({label}, steps={steps}): interp {} events vs vm {}, first diff at {:?}: {:?} vs {:?}",
             a.events.len(),
             b.events.len(),
             at,
@@ -254,7 +237,7 @@ fn compare_runs(
     }
     if a.stats != b.stats {
         return Err(format!(
-            "stats diverged ({label}, steps={steps}): interp {:?} vs {name} {:?}",
+            "stats diverged ({label}, steps={steps}): interp {:?} vs vm {:?}",
             a.stats, b.stats
         ));
     }
@@ -262,7 +245,7 @@ fn compare_runs(
         if ma != mb {
             let at = ma.iter().zip(mb).position(|(x, y)| x != y);
             return Err(format!(
-                "memory of array #{ai} diverged ({label}, {name}, steps={steps}) at element {at:?}"
+                "memory of array #{ai} diverged ({label}, vm, steps={steps}) at element {at:?}"
             ));
         }
     }

@@ -1,4 +1,5 @@
-//! Lowering from the IR to the compiled tape of [`crate::tape`].
+//! Lowering from the IR to the compiled tape of [`crate::tape`], the
+//! VM's input.
 //!
 //! Compilation is a single walk over the program body that resolves every
 //! quantity the interpreter re-derives at run time:
@@ -39,7 +40,7 @@ use gcr_ir::{
 /// Returns `None` when the program is outside the compiler's domain (see
 /// the module docs); the machine then keeps using the interpreter, which
 /// is the reference semantics for every shape.
-pub fn compile(
+pub(crate) fn compile(
     prog: &Program,
     binding: &ParamBinding,
     layout: &DataLayout,
@@ -104,7 +105,7 @@ struct Lower<'a> {
     /// the bound prover for subscripts.
     ranges: Vec<(VarId, i64, i64)>,
     /// Id of the assignment currently being lowered (baked into read ops
-    /// so flat tapes can emit events without statement context).
+    /// so they emit events without statement context).
     cur_id: StmtId,
 }
 
@@ -437,49 +438,9 @@ impl Lower<'_> {
                         }
                     }
                 }
-                // Flat tape: when every active member is an unconditional
-                // statement, concatenate their op ranges with `Store`
-                // terminators and precompute the per-iteration fuel and
-                // statistic deltas the fast path charges in bulk.
-                let window: Vec<u32> = self.out.items[item_start as usize..item_end as usize]
-                    .iter()
-                    .filter_map(|it| match (it.kind, it.req) {
-                        (ItemKind::Stmt(si), 0) => Some(si),
-                        _ => None,
-                    })
-                    .collect();
-                let all_stmts = window.len() == (item_end - item_start) as usize;
-                let mut flat = None;
-                let (mut flops, mut reads, mut writes) = (0u64, 0u64, 0u64);
-                if all_stmts && !window.is_empty() {
-                    let flat_start = self.out.ops.len() as u32;
-                    for &si in &window {
-                        let s = self.out.stmts[si as usize];
-                        self.out.ops.extend_from_within(s.ops.0 as usize..s.ops.1 as usize);
-                        for op in &self.out.ops[s.ops.0 as usize..s.ops.1 as usize] {
-                            if matches!(
-                                op,
-                                Op::Read { .. }
-                                    | Op::ReadAdd { .. }
-                                    | Op::ReadSub { .. }
-                                    | Op::ReadMul { .. }
-                                    | Op::ReadMax { .. }
-                                    | Op::ReadMin { .. }
-                            ) {
-                                reads += 1;
-                            }
-                        }
-                        if s.traced {
-                            if s.reduce.is_some() {
-                                reads += 1;
-                            }
-                            writes += 1;
-                        }
-                        flops += u64::from(s.flops);
-                        self.out.ops.push(Op::Store { si });
-                    }
-                    flat = Some((flat_start, self.out.ops.len() as u32));
-                }
+                let items = &self.out.items[item_start as usize..item_end as usize];
+                let flat = !items.is_empty()
+                    && items.iter().all(|it| it.req == 0 && matches!(it.kind, ItemKind::Stmt(_)));
                 self.out.segments.push(Segment {
                     lo: a,
                     hi: b,
@@ -487,11 +448,6 @@ impl Lower<'_> {
                     prime: (prime_start, self.out.prime_list.len() as u32),
                     advance: (adv_start, self.out.advance_list.len() as u32),
                     flat,
-                    iter_fuel: 1 + window.len() as u64,
-                    iter_instances: window.len() as u64,
-                    iter_flops: flops,
-                    iter_reads: reads,
-                    iter_writes: writes,
                 });
             }
         }

@@ -17,29 +17,24 @@
 //! places arrays sequentially in column-major (Fortran) order; regrouped
 //! layouts interleave strides (see `gcr-core::regroup`).
 //!
-//! Three engines produce that trace: the tree-walking interpreter (the
-//! reference semantics); the compiled tape of [`mod@compile`]/[`tape`],
-//! which lowers a `(Program, ParamBinding, DataLayout)` triple once into a
-//! flat instruction stream with affine address walkers and guard-resolved
-//! iteration segments; and the register bytecode VM of [`mod@vm`], which
-//! selects superinstructions over the tape and executes guard-free inner
+//! Two engines produce that trace: the tree-walking interpreter (the
+//! reference semantics) and the register bytecode VM, which lowers a
+//! `(Program, ParamBinding, DataLayout)` triple once into a compiled tape
+//! with affine address walkers and guard-resolved iteration segments,
+//! selects superinstructions over it, and executes guard-free inner
 //! segments in whole iteration strips, emitting access events in batches
-//! through [`machine::TraceSink::record_batch`]. All three are
-//! observationally identical; the engine is selected per
-//! [`machine::Machine`] (explicitly, or via `GCR_EXEC`), and the VM is the
-//! default for all measurement runs.
+//! through [`machine::TraceSink::record_batch`]. Both are observationally
+//! identical; the engine is selected per [`machine::Machine`] (explicitly,
+//! or via `GCR_EXEC`), and the VM is the default for all measurement runs.
 
-pub mod compile;
+mod compile;
 pub mod layout;
 pub mod machine;
-pub mod tape;
-pub mod vm;
+mod tape;
+mod vm;
 
-pub use compile::compile;
 pub use layout::{ArrayLayout, DataLayout};
 pub use machine::{
     AccessEvent, BatchSlot, CountingSink, ExecEngine, ExecEstimate, ExecStats, Machine, NullSink,
     TraceBatch, TraceSink,
 };
-pub use tape::CompiledProgram;
-pub use vm::VmPlan;

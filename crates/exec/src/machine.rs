@@ -11,6 +11,8 @@
 //! embedding, peeling) run without code generation.
 
 use crate::layout::DataLayout;
+use crate::tape::CompiledProgram;
+use crate::vm::VmPlan;
 use gcr_ir::{
     ArrayId, ArrayRef, AssignKind, BinOp, Expr, GcrError, GuardedStmt, Loop, ParamBinding, Program,
     ReduceOp, RefId, Resource, Stmt, StmtId, Subscript, UnOp,
@@ -219,36 +221,33 @@ pub struct ExecEstimate {
 
 /// Which execution engine a [`Machine`] runs.
 ///
-/// All three engines are observationally identical — same access-event
-/// stream, bit-identical `f64` memory image, same statistics and fuel
-/// accounting — which the differential test suite and the three-way
-/// conformance oracle enforce. The interpreter is the reference semantics;
-/// the compiled tape lowers dispatch per operation; the register VM lowers
-/// it further to one dispatch per iteration strip.
+/// Both engines are observationally identical — same access-event stream,
+/// bit-identical `f64` memory image, same statistics and fuel accounting —
+/// which the differential test suite and the interp ≡ vm conformance
+/// oracle enforce. The interpreter is the reference semantics; the
+/// register VM lowers dispatch to one per iteration strip.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
     /// The tree-walking interpreter (reference semantics).
     Interp,
-    /// The compiled tape of [`mod@crate::compile`]: flat instruction stream,
-    /// affine address walkers, guard-resolved iteration segments.
-    Compiled,
-    /// The register bytecode VM of [`mod@crate::vm`]: superinstructions
-    /// selected over the compiled tape plus vectorized strip execution with
-    /// batched event emission. Shares the tape's compilation domain; the
-    /// default for all measurement runs.
+    /// The register bytecode VM: the program lowered once to a compiled
+    /// tape with affine address walkers and guard-resolved iteration
+    /// segments, superinstructions selected over it, and vectorized strip
+    /// execution with batched event emission. Programs outside the tape
+    /// compiler's domain run on the interpreter. The default for all
+    /// measurement runs.
     #[default]
     Vm,
 }
 
 impl ExecEngine {
     /// The accepted engine names, for error messages.
-    pub const NAMES: &'static str = "interp|compiled|vm";
+    pub const NAMES: &'static str = "interp|vm";
 
     /// Parses an engine name as accepted by `GCR_EXEC` and `--exec`.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "interp" => Some(ExecEngine::Interp),
-            "compiled" => Some(ExecEngine::Compiled),
             "vm" => Some(ExecEngine::Vm),
             _ => None,
         }
@@ -258,7 +257,6 @@ impl ExecEngine {
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Interp => "interp",
-            ExecEngine::Compiled => "compiled",
             ExecEngine::Vm => "vm",
         }
     }
@@ -295,13 +293,10 @@ pub struct Machine<'p> {
     op_counts: Vec<u32>,
     stats: ExecStats,
     engine: ExecEngine,
-    /// Lazily compiled tape: `None` until first needed, `Some(None)` when
-    /// the program is outside the compiler's domain (interpreter fallback).
-    compiled: Option<Option<crate::tape::CompiledProgram>>,
-    /// Lazily built VM plan over the compiled tape, same `Option` protocol.
-    /// The VM's lowering is total over compiled programs, so this is
-    /// `Some(None)` exactly when `compiled` is.
-    vm: Option<Option<crate::vm::VmPlan>>,
+    /// Lazily lowered VM program (compiled tape plus its plan): `None`
+    /// until first needed, `Some(None)` when the program is outside the
+    /// tape compiler's domain (interpreter fallback).
+    vm: Option<Option<(CompiledProgram, VmPlan)>>,
 }
 
 impl<'p> Machine<'p> {
@@ -353,7 +348,6 @@ impl<'p> Machine<'p> {
             // usage error; by the time a machine is built here an invalid
             // value has already been rejected.
             engine: ExecEngine::from_env().unwrap_or_default(),
-            compiled: None,
             vm: None,
         };
         m.init_memory();
@@ -361,7 +355,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Selects the execution engine, consuming style (for construction
-    /// chains). The compiled tape is cached across engine switches — it
+    /// chains). The VM lowering is cached across engine switches — it
     /// depends only on the program, binding, and layout.
     pub fn with_engine(mut self, engine: ExecEngine) -> Self {
         self.set_engine(engine);
@@ -378,26 +372,21 @@ impl<'p> Machine<'p> {
         self.engine
     }
 
-    /// True when this machine's program compiled to the tape engine (after
-    /// forcing compilation). The VM shares the tape's domain exactly — its
-    /// lowering is total over compiled programs — so this answers for both
-    /// fast engines. A `false` under [`ExecEngine::Compiled`] or
-    /// [`ExecEngine::Vm`] means runs silently use the interpreter fallback.
+    /// True when this machine's program lowers to the VM (after forcing
+    /// the lowering). A `false` under [`ExecEngine::Vm`] means runs
+    /// silently use the interpreter fallback.
     pub fn compiles(&mut self) -> bool {
-        self.ensure_compiled();
-        matches!(self.compiled, Some(Some(_)))
-    }
-
-    fn ensure_compiled(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(crate::compile::compile(self.prog, &self.binding, &self.layout));
-        }
+        self.ensure_vm();
+        matches!(self.vm, Some(Some(_)))
     }
 
     fn ensure_vm(&mut self) {
-        self.ensure_compiled();
         if self.vm.is_none() {
-            self.vm = Some(self.compiled.as_ref().unwrap().as_ref().map(crate::vm::VmPlan::build));
+            let cp = crate::compile::compile(self.prog, &self.binding, &self.layout);
+            self.vm = Some(cp.map(|cp| {
+                let plan = VmPlan::build(&cp);
+                (cp, plan)
+            }));
         }
     }
 
@@ -469,40 +458,22 @@ impl<'p> Machine<'p> {
         steps: usize,
         fuel: u64,
     ) -> Result<(), GcrError> {
-        match self.engine {
-            ExecEngine::Vm => {
-                self.ensure_vm();
-                if let (Some(Some(cp)), Some(Some(plan))) =
-                    (self.compiled.as_ref(), self.vm.as_ref())
-                {
-                    return crate::vm::run(
-                        cp,
-                        plan,
-                        &mut self.mem,
-                        &mut self.vars,
-                        &mut self.stats,
-                        sink,
-                        steps,
-                        fuel,
-                    );
-                }
-                // Outside the compiler's domain: fall through to the
-                // reference interpreter, which is total.
+        if self.engine == ExecEngine::Vm {
+            self.ensure_vm();
+            if let Some(Some((cp, plan))) = &self.vm {
+                return crate::vm::run(
+                    cp,
+                    plan,
+                    &mut self.mem,
+                    &mut self.vars,
+                    &mut self.stats,
+                    sink,
+                    steps,
+                    fuel,
+                );
             }
-            ExecEngine::Compiled => {
-                self.ensure_compiled();
-                if let Some(Some(cp)) = self.compiled.as_ref() {
-                    return cp.run(
-                        &mut self.mem,
-                        &mut self.vars,
-                        &mut self.stats,
-                        sink,
-                        steps,
-                        fuel,
-                    );
-                }
-            }
-            ExecEngine::Interp => {}
+            // Outside the compiler's domain: fall through to the reference
+            // interpreter, which is total.
         }
         // Split borrows: body is part of prog (shared), the rest is mutable.
         let body = &self.prog.body;
@@ -850,7 +821,7 @@ struct Slot {
 
 /// Affine coefficients of the opaque intrinsics (`f`, `g`, … in the
 /// paper's examples): `(scale, bias)` applied to the argument sum. Shared
-/// with the compiled engine's `Intrinsic` op so both evaluate the exact
+/// with the tape's `Intrinsic` op so both engines evaluate the exact
 /// same expression.
 pub(crate) fn intrinsic_coeffs(name: &str) -> (f64, f64) {
     match name {
@@ -894,11 +865,12 @@ mod tests {
 
     #[test]
     fn engine_names_round_trip() {
-        for engine in [ExecEngine::Interp, ExecEngine::Compiled, ExecEngine::Vm] {
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
             assert_eq!(ExecEngine::parse(engine.name()), Some(engine));
             assert!(ExecEngine::NAMES.contains(engine.name()));
         }
         assert_eq!(ExecEngine::parse("jit"), None);
+        assert_eq!(ExecEngine::parse("compiled"), None);
         assert_eq!(ExecEngine::parse(""), None);
         assert_eq!(ExecEngine::default(), ExecEngine::Vm);
     }

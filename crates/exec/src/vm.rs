@@ -1,10 +1,12 @@
 //! The register bytecode VM: superinstruction selection over the compiled
 //! tape and vectorized strip execution with batched event emission.
 //!
-//! The tape engine ([`crate::tape`]) already lowered expression trees to
-//! linear op tapes over an untagged register file, but it still pays one
-//! dispatch per scalar op and one virtual sink call per access event. This
-//! engine removes both taxes where the tape's own analysis proves it safe:
+//! [`crate::compile`] lowers expression trees to linear op tapes over an
+//! untagged register file, with affine walkers and guard-resolved
+//! segments ([`crate::tape`]). Run op by op, that tape would still pay one
+//! dispatch per scalar op and one virtual sink call per access event.
+//! This engine removes both taxes where the tape's own analysis proves it
+//! safe:
 //!
 //! * **Superinstructions.** Each compiled statement's op tape is pattern
 //!   matched once into a single `VInst`: constant fills, copies, fused
@@ -38,14 +40,14 @@
 //!   strip — one `SItem::Prime` step re-bases the inner walkers per
 //!   trip, and strips run as long as the parent loop.
 //!
-//! Observational equivalence with the interpreter and the tape is
-//! non-negotiable and enforced by the differential test suite and the
-//! three-way conformance oracle: identical `AccessEvent` streams
+//! Observational equivalence with the interpreter is non-negotiable and
+//! enforced by the differential test suite and the interp ≡ vm
+//! conformance oracle: identical `AccessEvent` streams
 //! (including `end_instance` interleaving), bit-identical `f64` memory,
 //! identical [`ExecStats`], and identical fuel accounting. The strip path
-//! is taken only when the remaining fuel provably covers the whole segment
-//! — the same rule as the tape's flat path — so exhaustion inside a strip
-//! is impossible and partial runs take the exact per-event path.
+//! is taken only when the remaining fuel provably covers the whole segment,
+//! so exhaustion inside a strip is impossible and partial runs take the
+//! exact per-event path.
 
 use crate::layout::ELEM_BYTES;
 use crate::machine::{BatchSlot, ExecStats, NullSink, TraceBatch, TraceSink};
@@ -211,9 +213,7 @@ struct Strip {
     stmt_major: bool,
     /// True when the strip carries `Prime` steps (unrolled inner loops).
     unrolled: bool,
-    /// Fuel per parent iteration, inner-loop iterations included — the
-    /// segment's own `iter_fuel` is wrong for unrolled strips (the tape
-    /// computes it only for flat segments), so the plan carries its own.
+    /// Fuel per parent iteration, inner-loop iterations included.
     iter_fuel: u64,
     /// Statistic deltas per parent iteration, matching the exact path.
     iter_instances: u64,
@@ -225,9 +225,10 @@ struct Strip {
 /// A compiled program's VM lowering: superinstructions for every statement
 /// plus strip plans for every flat segment. Built once per
 /// [`CompiledProgram`] by [`VmPlan::build`] and cached by the machine; the
-/// lowering is total, so the VM runs exactly the programs the tape runs.
+/// lowering is total, so the VM runs every program the tape compiler
+/// accepts.
 #[derive(Clone, Debug)]
-pub struct VmPlan {
+pub(crate) struct VmPlan {
     vstmts: Vec<VInst>,
     chain_ws: Vec<u32>,
     /// Indexed like `CompiledProgram::segments`; `Some` iff the segment
@@ -247,7 +248,7 @@ impl VmPlan {
     /// Lowers a compiled program to the VM. Total: every statement gets a
     /// superinstruction (worst case `VInst::Micro`) and every flat
     /// segment a strip plan.
-    pub fn build(cp: &CompiledProgram) -> VmPlan {
+    pub(crate) fn build(cp: &CompiledProgram) -> VmPlan {
         let mut plan = VmPlan {
             vstmts: Vec::with_capacity(cp.stmts.len()),
             chain_ws: Vec::new(),
@@ -268,17 +269,6 @@ impl VmPlan {
             }
         }
         plan
-    }
-
-    /// Number of statements lowered to a single-opcode superinstruction
-    /// (everything except `VInst::Micro`).
-    pub fn superinstruction_count(&self) -> usize {
-        self.vstmts.iter().filter(|i| !matches!(i, VInst::Micro)).count()
-    }
-
-    /// Number of flat segments with a strip plan.
-    pub fn strip_count(&self) -> usize {
-        self.strips.iter().flatten().count()
     }
 
     fn build_strip(&mut self, cp: &CompiledProgram, sidx: u32, var: u16) {
@@ -307,7 +297,7 @@ impl VmPlan {
                     }
                     let ms = l2.segments.0;
                     let m = &cp.segments[ms as usize];
-                    if m.flat.is_none() || m.hi - m.lo + 1 > UNROLL_MAX {
+                    if !m.flat || m.hi - m.lo + 1 > UNROLL_MAX {
                         return;
                     }
                     unrolled = true;
@@ -320,44 +310,40 @@ impl VmPlan {
         }
         // Instance list (one entry per unrolled statement instance) for
         // the dependence analysis, and per-iteration accounting matching
-        // the exact path's fuel and statistics exactly.
+        // the exact path's fuel and statistics exactly: one fuel unit per
+        // parent and unrolled inner iteration, one per instance.
         let mut insts: Vec<(u32, Option<(u16, i64)>)> = Vec::new();
-        let (mut fuel, mut instances) = (1u64, 0u64);
-        let (mut flops, mut reads, mut writes) = (0u64, 0u64, 0u64);
+        let mut fuel = 1u64;
         for u in &units {
             match *u {
-                Unit::Stmt(si) => {
-                    insts.push((si, None));
-                    let s = &cp.stmts[si as usize];
-                    fuel += 1;
-                    instances += 1;
-                    flops += u64::from(s.flops);
-                    reads += cp.ops[s.ops.0 as usize..s.ops.1 as usize]
-                        .iter()
-                        .filter(|op| traced_read_walker(op).is_some())
-                        .count() as u64;
-                    if s.traced {
-                        if s.reduce.is_some() {
-                            reads += 1;
-                        }
-                        writes += 1;
-                    }
-                }
+                Unit::Stmt(si) => insts.push((si, None)),
                 Unit::Unroll { mvar, mseg } => {
                     let m = &cp.segments[mseg as usize];
+                    fuel += (m.hi - m.lo + 1) as u64;
                     for j in m.lo..=m.hi {
                         for it in &cp.items[m.items.0 as usize..m.items.1 as usize] {
                             let ItemKind::Stmt(si) = it.kind else { unreachable!() };
                             insts.push((si, Some((mvar, j))));
                         }
                     }
-                    let trips = (m.hi - m.lo + 1) as u64;
-                    fuel += trips * m.iter_fuel;
-                    instances += trips * m.iter_instances;
-                    flops += trips * m.iter_flops;
-                    reads += trips * m.iter_reads;
-                    writes += trips * m.iter_writes;
                 }
+            }
+        }
+        let instances = insts.len() as u64;
+        fuel += instances;
+        let (mut flops, mut reads, mut writes) = (0u64, 0u64, 0u64);
+        for &(si, _) in &insts {
+            let s = &cp.stmts[si as usize];
+            flops += u64::from(s.flops);
+            reads += cp.ops[s.ops.0 as usize..s.ops.1 as usize]
+                .iter()
+                .filter(|op| traced_read_walker(op).is_some())
+                .count() as u64;
+            if s.traced {
+                if s.reduce.is_some() {
+                    reads += 1;
+                }
+                writes += 1;
             }
         }
         // Strips never run longer than the segment itself, so dependence
@@ -738,12 +724,11 @@ fn op_rows(op: &Op) -> usize {
         | Op::ConstDiv { d, .. }
         | Op::ConstMax { d, .. }
         | Op::ConstMin { d, .. } => d as usize + 1,
-        Op::Store { .. } => 0,
     }
 }
 
-/// Executes a compiled program under the VM plan. Mirrors
-/// [`CompiledProgram`]'s `run` observably.
+/// Executes a compiled program under the VM plan. Mirrors the
+/// interpreter's run observably.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<S: TraceSink>(
     cp: &CompiledProgram,
@@ -835,9 +820,8 @@ impl VmExec<'_> {
             let seg = &cp.segments[s as usize];
             // Strip path: a planned guard-free segment with enough fuel
             // that exhaustion inside it is impossible — charge fuel and
-            // statistics in bulk (the tape's flat-path rule, extended to
-            // cover unrolled inner-loop iterations) and run whole
-            // iteration strips per dispatch.
+            // statistics in bulk (unrolled inner-loop iterations
+            // included) and run whole iteration strips per dispatch.
             if let Some(strip) = &self.plan.strips[s as usize] {
                 let trips = (seg.hi - seg.lo + 1) as u64;
                 let cost = trips * strip.iter_fuel;
@@ -1164,8 +1148,6 @@ impl VmExec<'_> {
                     Op::ConstDiv { d, v } => map!(d, |x: f64| x / v),
                     Op::ConstMax { d, v } => map!(d, |x: f64| x.max(v)),
                     Op::ConstMin { d, v } => map!(d, |x: f64| x.min(v)),
-                    // Statement op ranges never contain flat-tape stores.
-                    Op::Store { .. } => unreachable!("Store inside a statement tape"),
                 }
             }
         }
@@ -1219,12 +1201,12 @@ impl VmExec<'_> {
                 self.chain_value::<false, NullSink>(list, kind, s.id, &mut ns)
             }
             VInst::Micro => {
-                self.ex.exec_ops::<false, false, NullSink>(s.ops, &mut ns);
+                self.ex.exec_ops::<false, NullSink>(s.ops, &mut ns);
                 self.ex.regs[0]
             }
         };
         self.ex.regs[0] = rhs;
-        self.ex.store_tail::<false, false, NullSink>(s, &mut ns);
+        self.ex.store_tail::<false, NullSink>(s, &mut ns);
     }
 
     #[inline(always)]
@@ -1232,10 +1214,10 @@ impl VmExec<'_> {
         self.ex.mem[self.ex.wk[w as usize].cur as usize / ELEM_BYTES]
     }
 
-    /// Evaluates a read-sum chain; `EMIT` selects per-event emission (the
+    /// Evaluates a read-sum chain; `EXACT` selects per-event emission (the
     /// exact path) versus quiet reads (the strip-compute path).
     #[inline(always)]
-    fn chain_value<const EMIT: bool, S: TraceSink>(
+    fn chain_value<const EXACT: bool, S: TraceSink>(
         &mut self,
         list: &[u32],
         kind: ChainKind,
@@ -1247,11 +1229,11 @@ impl VmExec<'_> {
             ChainKind::Intrinsic { .. } => 0.0,
             _ => {
                 i = 1;
-                self.ex.traced_read::<EMIT, EMIT, S>(list[0], stmt, sink)
+                self.ex.traced_read::<EXACT, S>(list[0], stmt, sink)
             }
         };
         for &w in &list[i..] {
-            acc += self.ex.traced_read::<EMIT, EMIT, S>(w, stmt, sink);
+            acc += self.ex.traced_read::<EXACT, S>(w, stmt, sink);
         }
         match kind {
             ChainKind::Intrinsic { scale, bias } => scale * acc + bias,
@@ -1263,7 +1245,7 @@ impl VmExec<'_> {
 
     /// Exact-path statement execution: superinstruction dispatch with
     /// per-event emission and per-access accounting — event-for-event
-    /// identical to the tape's per-op path.
+    /// identical to the interpreter.
     fn exec_stmt<S: TraceSink>(&mut self, si: u32, sink: &mut S) -> Result<(), GcrError> {
         self.ex.spend()?;
         let cp = self.ex.cp;
@@ -1271,26 +1253,24 @@ impl VmExec<'_> {
         let s = cp.stmts[si as usize];
         let rhs = match plan.vstmts[si as usize] {
             VInst::Fill { v } => v,
-            VInst::Copy { a } => self.ex.traced_read::<true, true, S>(a, s.id, sink),
+            VInst::Copy { a } => self.ex.traced_read::<true, S>(a, s.id, sink),
             VInst::BinRR { a, b, op } => {
-                let x = self.ex.traced_read::<true, true, S>(a, s.id, sink);
-                let y = self.ex.traced_read::<true, true, S>(b, s.id, sink);
+                let x = self.ex.traced_read::<true, S>(a, s.id, sink);
+                let y = self.ex.traced_read::<true, S>(b, s.id, sink);
                 op.apply(x, y)
             }
-            VInst::BinRC { a, v, op } => {
-                op.apply(self.ex.traced_read::<true, true, S>(a, s.id, sink), v)
-            }
+            VInst::BinRC { a, v, op } => op.apply(self.ex.traced_read::<true, S>(a, s.id, sink), v),
             VInst::Chain { ws, kind } => {
                 let list = &plan.chain_ws[ws.0 as usize..ws.1 as usize];
                 self.chain_value::<true, S>(list, kind, s.id, sink)
             }
             VInst::Micro => {
-                self.ex.exec_ops::<true, true, S>(s.ops, sink);
+                self.ex.exec_ops::<true, S>(s.ops, sink);
                 self.ex.regs[0]
             }
         };
         self.ex.regs[0] = rhs;
-        self.ex.store_tail::<true, true, S>(s, sink);
+        self.ex.store_tail::<true, S>(s, sink);
         Ok(())
     }
 }
@@ -1309,6 +1289,19 @@ mod tests {
         let cp = crate::compile::compile(&prog, &bind, &layout)
             .expect("test program must be in the compiler's domain");
         (VmPlan::build(&cp), cp)
+    }
+
+    impl VmPlan {
+        /// Statements lowered to a single-opcode superinstruction
+        /// (everything except `VInst::Micro`).
+        fn superinstruction_count(&self) -> usize {
+            self.vstmts.iter().filter(|i| !matches!(i, VInst::Micro)).count()
+        }
+
+        /// Flat segments with a strip plan.
+        fn strip_count(&self) -> usize {
+            self.strips.iter().flatten().count()
+        }
     }
 
     #[test]

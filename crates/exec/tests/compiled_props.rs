@@ -1,10 +1,9 @@
-//! Differential oracle for the derived execution engines: on random
-//! programs, bindings, layouts (including regrouped-style interleaving),
-//! and guard/alignment shapes, the compiled tape *and* the register
-//! bytecode VM must each be observationally identical to the tree-walking
-//! interpreter — same sink-event sequence (accesses *and* instance
-//! boundaries, in order), same `ExecStats`, bit-identical memory images,
-//! and identical fuel-exhaustion behaviour.
+//! Differential oracle for the register bytecode VM: on random programs,
+//! bindings, layouts (including regrouped-style interleaving), and
+//! guard/alignment shapes, the VM must be observationally identical to the
+//! tree-walking interpreter — same sink-event sequence (accesses *and*
+//! instance boundaries, in order), same `ExecStats`, bit-identical memory
+//! images, and identical fuel-exhaustion behaviour.
 
 use gcr_exec::{AccessEvent, ArrayLayout, DataLayout, ExecEngine, ExecStats, Machine, TraceSink};
 use gcr_ir::{
@@ -250,22 +249,19 @@ fn run_engine(
 
 fn check_equivalence(prog: &Program, layout: &DataLayout, n: i64, fuel: u64) {
     let interp = run_engine(prog, layout, n, ExecEngine::Interp, fuel);
-    for engine in [ExecEngine::Compiled, ExecEngine::Vm] {
-        let name = engine.name();
-        let got = run_engine(prog, layout, n, engine, fuel);
-        assert_eq!(interp.events, got.events, "{name}: event stream diverged");
-        assert_eq!(interp.stats, got.stats, "{name}: ExecStats diverged");
-        assert_eq!(interp.bits, got.bits, "{name}: memory image diverged (bitwise)");
-        assert_eq!(interp.checksum.to_bits(), got.checksum.to_bits(), "{name}: checksum diverged");
-        assert_eq!(interp.fueled, got.fueled, "{name}: fuel-exhaustion result diverged");
-        assert_eq!(interp.fueled_events, got.fueled_events, "{name}: fueled event stream diverged");
-    }
+    let vm = run_engine(prog, layout, n, ExecEngine::Vm, fuel);
+    assert_eq!(interp.events, vm.events, "vm: event stream diverged");
+    assert_eq!(interp.stats, vm.stats, "vm: ExecStats diverged");
+    assert_eq!(interp.bits, vm.bits, "vm: memory image diverged (bitwise)");
+    assert_eq!(interp.checksum.to_bits(), vm.checksum.to_bits(), "vm: checksum diverged");
+    assert_eq!(interp.fueled, vm.fueled, "vm: fuel-exhaustion result diverged");
+    assert_eq!(interp.fueled_events, vm.fueled_events, "vm: fueled event stream diverged");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Compiled, VM, and interpreted execution agree on every observable,
+    /// VM and interpreted execution agree on every observable,
     /// for every layout shape, with and without a fuel budget.
     #[test]
     fn compiled_matches_interpreter(
@@ -284,8 +280,8 @@ proptest! {
     }
 }
 
-/// A variable used outside its loop is outside the compiler's domain: the
-/// machine must fall back to the interpreter rather than miscompile.
+/// A variable used outside its loop is outside the tape compiler's domain:
+/// the VM must fall back to the interpreter rather than miscompile.
 #[test]
 fn stale_variable_use_falls_back_to_interpreter() {
     let mut b = ProgramBuilder::new("stale");
@@ -300,7 +296,7 @@ fn stale_variable_use_falls_back_to_interpreter() {
     b.push(s1);
     let p = b.finish();
     let bind = ParamBinding::new(vec![6]);
-    let mut m = Machine::new(&p, bind.clone()).with_engine(ExecEngine::Compiled);
+    let mut m = Machine::new(&p, bind.clone()).with_engine(ExecEngine::Vm);
     assert!(!m.compiles(), "stale-variable program must not compile");
     // Fallback still runs with interpreter semantics.
     let mut cap = Cap::default();

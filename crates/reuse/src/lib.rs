@@ -36,14 +36,12 @@ pub mod evadable;
 pub mod hash;
 pub mod predict;
 pub mod profile;
-pub mod sampled;
 pub mod trace;
 
 pub use distance::{CapacityCounter, DistanceSink, Histogram, ReuseDistanceAnalyzer};
 pub use driven::reuse_driven_order;
 pub use evadable::{evadable_fraction, EvadableReport, RefStats};
 pub use hash::{FnvBuildHasher, FnvHashMap, FnvHasher};
-pub use predict::{miss_ratio_curve, predicted_miss_ratio, predicted_misses};
+pub use predict::miss_ratio_curve;
 pub use profile::{ProfileSink, ReuseProfile};
-pub use sampled::SampledAnalyzer;
 pub use trace::{Access, InstrTrace, TraceCapture};

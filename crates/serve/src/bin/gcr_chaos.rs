@@ -20,6 +20,7 @@
 //! [--deadline-ms N] [--fault SPEC] [--fault-seed N] [--serve-bin PATH]
 //! [--dir PATH]`
 
+use gcr_bench::cli::Flags;
 use gcr_cli::report::Json;
 use gcr_serve::chaos::{
     fetch_report, run_campaign, send_shutdown, ChaosConfig, ChaosOutcome, Expectations,
@@ -31,25 +32,19 @@ const DEFAULT_FAULT: &str =
     "panic_in_pass=0.08,slow_sim=0.05,torn_cache_write,truncated_frame=0.08,io_error=0.05";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let num = |flag: &str, default: u64| -> u64 {
-        get(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {flag} value {v:?}")))
-            .unwrap_or(default)
-    };
-    let seed = num("--seed", 1);
-    let requests = num("--requests", 120);
-    let budget = Duration::from_millis(num("--budget-ms", 60_000));
-    let deadline_ms = num("--deadline-ms", 10_000);
-    let fault = get("--fault").unwrap_or_else(|| DEFAULT_FAULT.into());
-    let fault_seed = num("--fault-seed", seed);
-    let serve_bin = get("--serve-bin")
+    let flags = Flags::from_env();
+    let seed = flags.num("--seed", 1);
+    let requests = flags.num("--requests", 120);
+    let budget = Duration::from_millis(flags.num("--budget-ms", 60_000));
+    let deadline_ms = flags.num("--deadline-ms", 10_000);
+    let fault = flags.value("--fault").unwrap_or_else(|| DEFAULT_FAULT.into());
+    let fault_seed = flags.num("--fault-seed", seed);
+    let serve_bin = flags
+        .value("--serve-bin")
         .or_else(|| std::env::var("GCR_SERVE_BIN").ok())
         .unwrap_or_else(|| sibling("gcr-serve"));
-    let dir = get("--dir")
+    let dir = flags
+        .value("--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join(format!("gcr-chaos-{}", std::process::id())));
     std::fs::create_dir_all(&dir).expect("create scratch dir");

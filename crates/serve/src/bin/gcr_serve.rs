@@ -10,25 +10,18 @@
 //! Usage: `gcr-serve [--socket PATH] [--workers N] [--queue N]
 //! [--deadline-ms N]`
 
+use gcr_bench::cli::Flags;
 use gcr_bench::sweep::MeasureCache;
 use gcr_serve::{Server, ServerConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let parse = |flag: &str, default: u64| -> u64 {
-        get(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {flag} value {v:?}")))
-            .unwrap_or(default)
-    };
-    let socket = get("--socket");
+    let flags = Flags::from_env();
+    let socket = flags.value("--socket");
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
-        workers: parse("--workers", defaults.workers as u64) as usize,
-        queue: parse("--queue", defaults.queue as u64) as usize,
-        default_deadline_ms: parse("--deadline-ms", defaults.default_deadline_ms),
+        workers: flags.num("--workers", defaults.workers),
+        queue: flags.num("--queue", defaults.queue),
+        default_deadline_ms: flags.num("--deadline-ms", defaults.default_deadline_ms),
     };
 
     let server = Server::new(cfg, MeasureCache::from_env());

@@ -16,6 +16,7 @@
 //!
 //! Usage: `serve_bench [--requests N] [--clients N] [--json PATH]`
 
+use gcr_bench::cli::{merge_section, Flags};
 use gcr_bench::sweep::MeasureCache;
 use gcr_cli::report::Json;
 use gcr_serve::chaos::Client;
@@ -24,13 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let requests: usize = get("--requests").map(|v| v.parse().unwrap()).unwrap_or(400);
-    let clients: usize = get("--clients").map(|v| v.parse().unwrap()).unwrap_or(8);
-    let json_path = get("--json").unwrap_or_else(|| "BENCH_sweep.json".into());
+    let flags = Flags::from_env();
+    let requests: usize = flags.num("--requests", 400);
+    let clients: usize = flags.num("--clients", 8);
+    let json_path = flags.value("--json").unwrap_or_else(|| "BENCH_sweep.json".into());
 
     let dir = std::env::temp_dir().join(format!("gcr-serve-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -67,7 +65,10 @@ fn main() {
             ]),
         ),
     ]);
-    merge_serve_section(&json_path, serve);
+    if let Err(e) = merge_section(&json_path, vec![("serve", serve)]) {
+        eprintln!("could not write {json_path}: {e}");
+        std::process::exit(1);
+    }
     println!("serve section merged into {json_path}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -170,21 +171,4 @@ fn overload_phase(dir: &std::path::Path, clients: usize) -> (u64, u64, u64, u64,
     let (ok, overloaded, timeout) =
         (ok.into_inner(), overloaded.into_inner(), timeout.into_inner());
     (issued, ok, overloaded, timeout, overloaded as f64 / issued as f64)
-}
-
-/// Rewrites `path` with its `serve` key replaced (other sections kept);
-/// starts a fresh document when the file is absent or unparsable.
-fn merge_serve_section(path: &str, serve: Json) {
-    let base = std::fs::read_to_string(path).ok().and_then(|t| Json::parse(&t).ok());
-    let json = match base {
-        Some(Json::O(mut fields)) => {
-            match fields.iter_mut().find(|(k, _)| *k == "serve") {
-                Some(slot) => slot.1 = serve,
-                None => fields.push(("serve", serve)),
-            }
-            Json::O(fields)
-        }
-        _ => Json::O(vec![("schema", Json::S("gcr-bench-sweep/v1".into())), ("serve", serve)]),
-    };
-    std::fs::write(path, json.render()).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
 }
