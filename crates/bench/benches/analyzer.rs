@@ -42,7 +42,7 @@ fn event(addr: u64) -> AccessEvent {
     }
 }
 
-/// One analyzer pass answering eight capacities at once, against eight
+/// One capacity-stack pass answering eight capacities at once, against eight
 /// dedicated fully-associative LRU simulations of the same stream.
 fn bench_capacity_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("capacity_sweep");

@@ -255,11 +255,13 @@ fn exec_compare(scale: f64) -> (Json, bool) {
 /// capacity sweep on the Figure-3 job set, under the VM engine (the batch
 /// producer both sinks' `record_batch` fast paths are written for). Same
 /// capacities on both sides — 4-way geometries for the associative sink —
-/// so the ratio isolates the per-access cost of set indexing plus bounded
-/// LRU ways over the FA stack walk. The acceptance target is a ratio
-/// within 1.5x; a miss is reported, not fatal (wall clock on a loaded
-/// container is advisory). Reference counts must agree exactly — that part
-/// *is* fatal, since it would mean a sink dropped accesses.
+/// so the ratio compares set indexing plus bounded LRU ways against the FA
+/// sink's bounded-stack classification (one hash lookup plus O(k)
+/// boundary moves). Both cost a few pointer moves per access, so the
+/// ratio sits near 1. The acceptance target is a ratio within 1.5x; a
+/// miss is reported, not fatal (wall clock on a loaded container is
+/// advisory). Reference counts must agree exactly — that part *is* fatal,
+/// since it would mean a sink dropped accesses.
 fn assoc_compare(scale: f64) -> Json {
     const REPS: usize = 3;
     const LINE: u64 = 64;

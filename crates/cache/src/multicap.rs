@@ -7,14 +7,16 @@
 //! simulators here consume **one** trace pass for *all* configurations at
 //! once:
 //!
-//! * [`CapacitySweepSink`] — one [`ReuseDistanceAnalyzer`] whose exact
-//!   per-threshold counts ([`gcr_reuse::CapacityCounter`]) answer the miss
-//!   count of every fully-associative LRU capacity simultaneously. On such
-//!   a cache an access misses iff its reuse distance (in lines) is at
-//!   least the capacity (Section 2.1 of the paper), so the analyzer's
-//!   output is not an estimate: it is bit-identical to simulating each
-//!   capacity separately, at any capacity — including the sub-bin
-//!   thresholds the log₂ histogram cannot see.
+//! * [`CapacitySweepSink`] — one bounded LRU stack
+//!   ([`gcr_reuse::CapacityStack`]) whose per-access capacity class
+//!   answers the miss count of every fully-associative LRU capacity
+//!   simultaneously. On such a cache an access misses iff its reuse
+//!   distance (in lines) is at least the capacity (Section 2.1 of the
+//!   paper), and the stack classifies each distance against every
+//!   capacity in `O(k)` without measuring it, so the output is not an
+//!   estimate: it is bit-identical to simulating each capacity
+//!   separately, at any capacity — including the sub-bin thresholds the
+//!   log₂ histogram cannot see.
 //! * [`MultiHierarchySink`] — one access stream fanned out to any number
 //!   of full [`MemoryHierarchy`]s (set-associative L1/L2 + TLB), replacing
 //!   the one-run-per-hierarchy pattern that [`crate::HierarchySink`]
@@ -25,8 +27,7 @@
 
 use crate::hierarchy::{MemoryHierarchy, MissCounts};
 use gcr_exec::{AccessEvent, TraceSink};
-use gcr_reuse::distance::ReuseDistanceAnalyzer;
-use gcr_reuse::CapacityCounter;
+use gcr_reuse::CapacityStack;
 
 /// Exact miss counts of every fully-associative LRU capacity in one trace
 /// pass.
@@ -36,8 +37,10 @@ use gcr_reuse::CapacityCounter;
 /// the same line count as one datum (spatial locality is honoured exactly
 /// as a real fully-associative cache of that line size would).
 pub struct CapacitySweepSink {
-    analyzer: ReuseDistanceAnalyzer,
-    counter: CapacityCounter,
+    stack: CapacityStack,
+    /// `by_class[j]` = accesses that reached exactly `j` capacities
+    /// (the last class holds the cold accesses too).
+    by_class: Vec<u64>,
     line: u64,
     refs: u64,
 }
@@ -57,12 +60,9 @@ impl CapacitySweepSink {
                 c / line
             })
             .collect();
-        CapacitySweepSink {
-            analyzer: ReuseDistanceAnalyzer::new(line),
-            counter: CapacityCounter::new(caps_lines),
-            line,
-            refs: 0,
-        }
+        let stack = CapacityStack::new(line, caps_lines);
+        let by_class = vec![0; stack.thresholds().len() + 1];
+        CapacitySweepSink { stack, by_class, line, refs: 0 }
     }
 
     /// References observed so far.
@@ -74,13 +74,18 @@ impl CapacitySweepSink {
     /// (must be one of the registered capacities): cold misses plus
     /// reuses whose line-granular distance reaches the capacity.
     pub fn misses(&self, capacity_bytes: u64) -> u64 {
-        self.analyzer.hist.cold + self.counter.at_least(capacity_bytes / self.line)
+        let j = self
+            .stack
+            .thresholds()
+            .binary_search(&(capacity_bytes / self.line))
+            .unwrap_or_else(|_| panic!("capacity {capacity_bytes} was not registered"));
+        self.by_class[j + 1..].iter().sum()
     }
 
     /// `(capacity_bytes, misses)` for every registered capacity,
     /// ascending.
     pub fn miss_counts(&self) -> Vec<(u64, u64)> {
-        self.counter
+        self.stack
             .thresholds()
             .iter()
             .map(|&lines| (lines * self.line, self.misses(lines * self.line)))
@@ -92,21 +97,17 @@ impl TraceSink for CapacitySweepSink {
     #[inline]
     fn access(&mut self, ev: AccessEvent) {
         self.refs += 1;
-        if let Some(d) = self.analyzer.access(ev.addr) {
-            self.counter.record(d);
-        }
+        self.by_class[self.stack.access(ev.addr)] += 1;
     }
 
     fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Distances ignore instance boundaries and the write flag; one
+        // Classes ignore instance boundaries and the write flag; one
         // affine expansion loop in stream order amortizes the virtual
         // call across the whole strip.
         self.refs += batch.len() as u64;
         for k in 0..batch.iters as i64 {
             for sl in batch.slots {
-                if let Some(d) = self.analyzer.access(sl.addr_at(k)) {
-                    self.counter.record(d);
-                }
+                self.by_class[self.stack.access(sl.addr_at(k))] += 1;
             }
         }
     }

@@ -27,7 +27,9 @@ use gcr_core::trace::PassEvent;
 use gcr_core::{OptimizedProgram, RobustnessReport};
 use gcr_ir::Program;
 use gcr_reuse::{Histogram, ReuseProfile};
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Schema tag of a single report.
 pub const SCHEMA: &str = "gcr-report/v1";
@@ -162,11 +164,13 @@ impl Json {
     /// Parses JSON text back into a tree — the inverse of [`Json::render`].
     ///
     /// Integers without a sign come back as `U`, negative integers as `I`,
-    /// anything with a fraction or exponent as `F`. Object keys are leaked
-    /// to `&'static str` to fit the literal-keyed `O` variant: this is for
-    /// re-reading the small report files this module writes (so a tool can
-    /// merge a section into an existing report), not for arbitrary or
-    /// adversarial input.
+    /// anything with a fraction or exponent as `F`. Object keys are
+    /// interned to `&'static str` to fit the literal-keyed `O` variant:
+    /// each distinct key is leaked once per process, so re-parsing the
+    /// same documents (a merge, a daemon's `report` body) allocates no new
+    /// keys. Memory grows only with the number of *distinct* keys ever
+    /// seen — fine for the report files and protocol bodies this module
+    /// writes, not for arbitrary or adversarial input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let b = text.as_bytes();
         let mut i = 0usize;
@@ -178,11 +182,37 @@ impl Json {
         Ok(v)
     }
 
+    /// Number of distinct object keys [`Json::parse`] has interned so far
+    /// in this process (each one leaked exactly once).
+    pub fn interned_keys() -> usize {
+        lock_interned().len()
+    }
+
     /// Looks up `key` in an object; `None` for missing keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::O(fields) => fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+}
+
+/// Every object key [`Json::parse`] has leaked, so each is leaked once.
+fn lock_interned() -> MutexGuard<'static, HashSet<&'static str>> {
+    static KEYS: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    // The set is only ever inserted into, so a poisoned lock still holds a
+    // consistent set.
+    KEYS.get_or_init(Default::default).lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn intern(key: String) -> &'static str {
+    let mut keys = lock_interned();
+    match keys.get(key.as_str()) {
+        Some(&k) => k,
+        None => {
+            let k: &'static str = Box::leak(key.into_boxed_str());
+            keys.insert(k);
+            k
         }
     }
 }
@@ -327,7 +357,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 }
                 *i += 1;
                 let value = parse_value(b, i)?;
-                fields.push((Box::leak(key.into_boxed_str()), value));
+                fields.push((intern(key), value));
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,

@@ -89,8 +89,8 @@ impl Histogram {
     /// of two). For a `threshold` strictly inside a bin the whole bin is
     /// dropped, so the result *under*-counts by up to that bin's
     /// population — the log₂ bins cannot see sub-bin thresholds. Use
-    /// [`CapacityCounter`] when exact counts at arbitrary thresholds are
-    /// needed (the multi-capacity cache simulator does).
+    /// [`crate::CapacityStack`] when exact counts at arbitrary thresholds
+    /// are needed (the multi-capacity cache simulator does).
     pub fn at_least(&self, threshold: u64) -> u64 {
         let mut total = 0;
         for (k, &c) in self.bins.iter().enumerate() {
@@ -118,63 +118,6 @@ impl Histogram {
     /// `(k, c)` means `c` references had distance in `[2^(k−1), 2^k)`.
     pub fn points(&self) -> Vec<(usize, u64)> {
         self.bins.iter().copied().enumerate().filter(|&(_, c)| c > 0).collect()
-    }
-}
-
-/// Exact per-threshold reuse counters — the precise counterpart of the
-/// bin-granular [`Histogram::at_least`].
-///
-/// The thresholds of interest (cache capacities, in the analyzer's
-/// measurement units) are registered up front; every recorded distance is
-/// then classified against all of them at once in `O(log k)`. Unlike the
-/// log₂ histogram, counts are exact for *any* threshold, not just powers
-/// of two — this is what lets one reuse-distance pass serve every cache
-/// capacity of a sweep simultaneously.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CapacityCounter {
-    /// Registered thresholds, ascending and deduplicated.
-    caps: Vec<u64>,
-    /// `by_class[i]` = number of recorded distances `d` for which exactly
-    /// `i` thresholds satisfy `cap ≤ d`.
-    by_class: Vec<u64>,
-    recorded: u64,
-}
-
-impl CapacityCounter {
-    /// A counter for the given thresholds (any order, duplicates merged).
-    pub fn new(mut caps: Vec<u64>) -> Self {
-        caps.sort_unstable();
-        caps.dedup();
-        let n = caps.len();
-        CapacityCounter { caps, by_class: vec![0; n + 1], recorded: 0 }
-    }
-
-    /// Registered thresholds, ascending.
-    pub fn thresholds(&self) -> &[u64] {
-        &self.caps
-    }
-
-    /// Records one finite reuse distance.
-    #[inline]
-    pub fn record(&mut self, d: u64) {
-        let class = self.caps.partition_point(|&c| c <= d);
-        self.by_class[class] += 1;
-        self.recorded += 1;
-    }
-
-    /// Total distances recorded.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Exact number of recorded distances ≥ `cap`. `cap` must be one of
-    /// the registered thresholds.
-    pub fn at_least(&self, cap: u64) -> u64 {
-        let j = self
-            .caps
-            .binary_search(&cap)
-            .unwrap_or_else(|_| panic!("threshold {cap} was not registered"));
-        self.by_class[j + 1..].iter().sum()
     }
 }
 
@@ -468,59 +411,6 @@ mod tests {
         assert_eq!(h.bins[10], 1); // d=1023 in [512,1024)
         assert_eq!(h.reuses, 6);
         assert_eq!(h.at_least(512), 1);
-    }
-
-    #[test]
-    fn capacity_counter_is_exact_where_bins_undercount() {
-        // Distances 5, 6, 7 all land in histogram bin 3 ([4, 8)).
-        let mut h = Histogram::default();
-        let mut c = CapacityCounter::new(vec![6, 8]);
-        for d in [5u64, 6, 7] {
-            h.record(d);
-            c.record(d);
-        }
-        // Bin-granular: threshold 6 is inside bin 3, whole bin dropped.
-        assert_eq!(h.at_least(6), 0, "documented undercount");
-        // Exact: distances 6 and 7 are ≥ 6.
-        assert_eq!(c.at_least(6), 2);
-        assert_eq!(c.at_least(8), 0);
-        assert_eq!(c.recorded(), 3);
-    }
-
-    #[test]
-    fn capacity_counter_matches_naive_for_every_threshold() {
-        let mut x = 0xdead_beefu64;
-        let dists: Vec<u64> = (0..4000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 40) % 700
-            })
-            .collect();
-        let caps = vec![0u64, 1, 3, 7, 100, 128, 333, 699, 700, 1000];
-        let mut c = CapacityCounter::new(caps.clone());
-        for &d in &dists {
-            c.record(d);
-        }
-        for &cap in &caps {
-            let naive = dists.iter().filter(|&&d| d >= cap).count() as u64;
-            assert_eq!(c.at_least(cap), naive, "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn capacity_counter_agrees_with_histogram_at_powers_of_two() {
-        let mut h = Histogram::default();
-        let mut c = CapacityCounter::new(vec![1, 2, 4, 8, 16, 32, 64]);
-        let mut x = 7u64;
-        for _ in 0..2000 {
-            x = x.wrapping_mul(48271) % 0x7fff_ffff;
-            let d = x % 100;
-            h.record(d);
-            c.record(d);
-        }
-        for cap in [1u64, 2, 4, 8, 16, 32, 64] {
-            assert_eq!(h.at_least(cap), c.at_least(cap), "power of two {cap} is a bin boundary");
-        }
     }
 
     #[test]

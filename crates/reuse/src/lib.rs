@@ -16,7 +16,10 @@
 //! * [`predict`] — miss-ratio curves from reuse-distance histograms (the
 //!   §2.1 perfect-cache equivalence, made executable);
 //! * [`profile`] — per-array and per-phase histogram profiling, the
-//!   observability layer behind `gcrc --profile` and the JSON reports.
+//!   observability layer behind `gcrc --profile` and the JSON reports;
+//! * [`stack`] — the bounded LRU stack that answers which of a set of
+//!   capacity thresholds each access's distance reaches, in `O(k)` per
+//!   access without measuring the distance (capacity sweeps).
 //!
 //! The core primitive is [`ReuseDistanceAnalyzer`] — feed it an address
 //! stream, get back per-access distances and a log₂ [`Histogram`]:
@@ -36,12 +39,14 @@ pub mod evadable;
 pub mod hash;
 pub mod predict;
 pub mod profile;
+pub mod stack;
 pub mod trace;
 
-pub use distance::{CapacityCounter, DistanceSink, Histogram, ReuseDistanceAnalyzer};
+pub use distance::{DistanceSink, Histogram, ReuseDistanceAnalyzer};
 pub use driven::reuse_driven_order;
 pub use evadable::{evadable_fraction, EvadableReport, RefStats};
 pub use hash::{FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use predict::miss_ratio_curve;
 pub use profile::{ProfileSink, ReuseProfile};
+pub use stack::CapacityStack;
 pub use trace::{Access, InstrTrace, TraceCapture};

@@ -17,8 +17,8 @@ use crate::distance::Histogram;
 /// Exact when `capacity` is a power of two (histogram bins are log₂);
 /// otherwise the whole bin containing `capacity` is dropped by
 /// [`Histogram::at_least`], *under*-counting misses by up to that bin's
-/// population. For exact counts at arbitrary capacities record distances
-/// into a [`crate::distance::CapacityCounter`] (what the single-pass
+/// population. For exact counts at arbitrary capacities classify the
+/// accesses with a [`crate::CapacityStack`] (what the single-pass
 /// multi-capacity simulator in `gcr-cache` does) instead of predicting
 /// from a finished histogram.
 pub fn predicted_misses(hist: &Histogram, capacity: u64) -> u64 {

@@ -2,13 +2,14 @@
 //!
 //! `Histogram::at_least` is bin-granular: exact at power-of-two
 //! thresholds, a documented *under*-count strictly inside a bin.
-//! `CapacityCounter` is the exact counterpart at arbitrary registered
+//! `CapacityStack` is the exact counterpart at arbitrary registered
 //! thresholds — in particular at the line-granularity capacities
 //! (`capacity / line` with non-power-of-two line counts) that regrouped
-//! layouts produce. These properties pin both claims against a brute
-//! force over random distance streams.
+//! layouts produce. These properties pin the histogram against a brute
+//! force over random distance streams, and the stack against the exact
+//! distances of `ReuseDistanceAnalyzer` over random address streams.
 
-use gcr_reuse::{CapacityCounter, Histogram};
+use gcr_reuse::{CapacityStack, Histogram, ReuseDistanceAnalyzer};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -16,6 +17,12 @@ use proptest::prelude::*;
 /// histogram bin range gets populated.
 fn distances() -> impl Strategy<Value = Vec<u64>> {
     vec((0u64..400).prop_map(|x| if x >= 200 { (x - 200) * 37 } else { x }), 1..120)
+}
+
+/// A random byte-address stream mixing a hot set (short distances) with
+/// a wider range (long distances and first accesses).
+fn addresses() -> impl Strategy<Value = Vec<u64>> {
+    vec((0u64..1200).prop_map(|x| if x >= 600 { x * 13 } else { x % 40 }), 1..400)
 }
 
 fn brute_at_least(ds: &[u64], t: u64) -> u64 {
@@ -57,37 +64,53 @@ proptest! {
         prop_assert!(exact - binned <= cut, "lost more than the cut bin at {}", t);
     }
 
-    /// `CapacityCounter` is exact at every registered threshold —
-    /// including line-granularity capacities that are not powers of two.
+    /// Every `CapacityStack` class equals the analyzer's distance
+    /// classified against the thresholds (`partition_point(c <= d)`,
+    /// first access → k) — at line granularity, for capacities that are
+    /// not powers of two, unsorted and duplicated — and the stack never
+    /// holds more than the largest threshold.
     #[test]
-    fn capacity_counter_exact_at_line_granularity(
-        ds in distances(),
-        line in 2u64..9,
-        lines in vec(1u64..200, 1..8),
+    fn capacity_stack_matches_analyzer_distances(
+        addrs in addresses(),
+        gran_log in 0u32..6,
+        caps in vec(1u64..200, 1..8),
     ) {
-        let caps: Vec<u64> = lines.iter().map(|&k| k * line).collect();
-        let mut c = CapacityCounter::new(caps.clone());
-        for &d in &ds {
-            c.record(d);
-        }
-        prop_assert_eq!(c.recorded(), ds.len() as u64);
-        for &cap in &caps {
-            prop_assert_eq!(c.at_least(cap), brute_at_least(&ds, cap), "cap {}", cap);
+        let gran = 1u64 << gran_log;
+        let mut s = CapacityStack::new(gran, caps.clone());
+        let sorted = s.thresholds().to_vec();
+        prop_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        prop_assert!(caps.iter().all(|c| sorted.binary_search(c).is_ok()));
+        let mut rd = ReuseDistanceAnalyzer::new(gran);
+        for &a in &addrs {
+            let want = match rd.access(a) {
+                Some(d) => sorted.partition_point(|&c| c <= d),
+                None => sorted.len(),
+            };
+            prop_assert_eq!(s.access(a), want, "addr {}", a);
+            prop_assert!(s.len() as u64 <= *sorted.last().unwrap());
         }
     }
 
-    /// The exact counter refines the binned one: at a registered
+    /// The stack refines the binned histogram: at a registered
     /// power-of-two threshold both agree; at any registered threshold the
-    /// exact count is ≥ the binned count.
+    /// exact miss count is ≥ the binned one.
     #[test]
-    fn capacity_counter_refines_histogram(ds in distances(), k in 0u32..13, t in 1u64..5000) {
-        let h = histogram_of(&ds);
-        let mut c = CapacityCounter::new(vec![1u64 << k, t]);
-        for &d in &ds {
-            c.record(d);
+    fn capacity_stack_refines_histogram(addrs in addresses(), k in 0u32..9, t in 1u64..300) {
+        let mut s = CapacityStack::new(1, vec![1u64 << k, t]);
+        let classes = s.thresholds().len();
+        let mut rd = ReuseDistanceAnalyzer::new(1);
+        let mut by_class = vec![0u64; classes + 1];
+        for &a in &addrs {
+            by_class[s.access(a)] += 1;
+            rd.access(a);
         }
-        prop_assert_eq!(c.at_least(1 << k), h.at_least(1 << k));
-        prop_assert!(c.at_least(t) >= h.at_least(t));
+        let misses = |cap: u64| -> u64 {
+            let j = s.thresholds().binary_search(&cap).unwrap();
+            by_class[j + 1..].iter().sum()
+        };
+        let binned = |cap: u64| rd.hist.cold + rd.hist.at_least(cap);
+        prop_assert_eq!(misses(1 << k), binned(1 << k));
+        prop_assert!(misses(t) >= binned(t));
     }
 
     /// Merging histograms is counting on the concatenated stream.

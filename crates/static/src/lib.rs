@@ -60,10 +60,9 @@
 //! assert_eq!(an.model().capacities[0].global.degree(), 1); // linear in N
 //! ```
 
-use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceSink};
+use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceBatch, TraceSink};
 use gcr_ir::{GcrError, ParamBinding, Program};
-use gcr_reuse::distance::ReuseDistanceAnalyzer;
-use gcr_reuse::CapacityCounter;
+use gcr_reuse::CapacityStack;
 use std::fmt;
 
 /// Default interpreter fuel for probe simulations: probes run at sizes
@@ -548,48 +547,61 @@ struct ProbeCounts {
 }
 
 /// Trace sink mirroring `gcr_cache::CapacitySweepSink` exactly for the
-/// global counts (one analyzer, one capacity counter, misses = cold +
-/// at-least) while additionally attributing every access to its array —
-/// so the per-array models sum to the global one by construction.
+/// global counts (one bounded LRU stack, misses at capacity `j` = accesses
+/// of class above `j`) while additionally attributing every access's
+/// class to its array — so the per-array models sum to the global one by
+/// construction.
 struct ProbeSink {
-    analyzer: ReuseDistanceAnalyzer,
-    counter: CapacityCounter,
-    per_array: Vec<(CapacityCounter, u64)>, // (distances, cold) per array
-    line: u64,
+    stack: CapacityStack,
+    /// `by_class[c]`: accesses that reached exactly `c` capacities.
+    by_class: Vec<u64>,
+    /// `per_array[a * (k + 1) + c]`: the same, for array `a`.
+    per_array: Vec<u64>,
+    /// Stack threshold index of each `spec.capacities` entry.
+    cap_index: Vec<usize>,
     refs: u64,
     refs_per_array: Vec<u64>,
-    caps: Vec<u64>, // bytes, ascending
 }
 
 impl ProbeSink {
     fn new(spec: &SweepSpec, arrays: usize) -> Self {
         let caps_lines: Vec<u64> = spec.capacities.iter().map(|&c| c / spec.line).collect();
+        let stack = CapacityStack::new(spec.line, caps_lines.clone());
+        let cap_index = caps_lines
+            .iter()
+            .map(|c| stack.thresholds().binary_search(c).expect("every capacity is a threshold"))
+            .collect();
+        let classes = stack.thresholds().len() + 1;
         ProbeSink {
-            analyzer: ReuseDistanceAnalyzer::new(spec.line),
-            counter: CapacityCounter::new(caps_lines.clone()),
-            per_array: (0..arrays).map(|_| (CapacityCounter::new(caps_lines.clone()), 0)).collect(),
-            line: spec.line,
+            stack,
+            by_class: vec![0; classes],
+            per_array: vec![0; arrays * classes],
+            cap_index,
             refs: 0,
             refs_per_array: vec![0; arrays],
-            caps: spec.capacities.clone(),
         }
     }
 
+    #[inline]
+    fn record(&mut self, addr: u64, array: usize) {
+        let class = self.stack.access(addr);
+        self.by_class[class] += 1;
+        self.per_array[array * self.by_class.len() + class] += 1;
+    }
+
     fn counts(&self) -> ProbeCounts {
-        let mut misses = Vec::with_capacity(self.caps.len());
-        let mut misses_per_array = Vec::with_capacity(self.caps.len());
-        for &cap in &self.caps {
-            let lines = cap / self.line;
-            misses.push(self.analyzer.hist.cold + self.counter.at_least(lines));
-            misses_per_array.push(
-                self.per_array.iter().map(|(cnt, cold)| cold + cnt.at_least(lines)).collect(),
-            );
-        }
+        // Misses at threshold `j` are the accesses of every class above `j`.
+        let misses_at = |by_class: &[u64], j: usize| by_class[j + 1..].iter().sum();
+        let per_array: Vec<&[u64]> = self.per_array.chunks(self.by_class.len()).collect();
         ProbeCounts {
             refs: self.refs,
             refs_per_array: self.refs_per_array.clone(),
-            misses,
-            misses_per_array,
+            misses: self.cap_index.iter().map(|&j| misses_at(&self.by_class, j)).collect(),
+            misses_per_array: self
+                .cap_index
+                .iter()
+                .map(|&j| per_array.iter().map(|by_class| misses_at(by_class, j)).collect())
+                .collect(),
         }
     }
 }
@@ -598,14 +610,21 @@ impl TraceSink for ProbeSink {
     #[inline]
     fn access(&mut self, ev: AccessEvent) {
         self.refs += 1;
-        let a = ev.array.index();
-        self.refs_per_array[a] += 1;
-        match self.analyzer.access(ev.addr) {
-            Some(d) => {
-                self.counter.record(d);
-                self.per_array[a].0.record(d);
+        self.refs_per_array[ev.array.index()] += 1;
+        self.record(ev.addr, ev.array.index());
+    }
+
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        // Classes ignore instance boundaries and the write flag: count the
+        // strip's references per slot, then classify in stream order.
+        self.refs += batch.len() as u64;
+        for sl in batch.slots {
+            self.refs_per_array[sl.array.index()] += batch.iters as u64;
+        }
+        for k in 0..batch.iters as i64 {
+            for sl in batch.slots {
+                self.record(sl.addr_at(k), sl.array.index());
             }
-            None => self.per_array[a].1 += 1,
         }
     }
 }
@@ -911,6 +930,7 @@ fn fit_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcr_reuse::ReuseDistanceAnalyzer;
 
     fn parse(src: &str) -> Program {
         gcr_frontend::parse(src).unwrap()
@@ -924,9 +944,48 @@ mod tests {
             A[j, i] = 0.25 * (B[j-1, i] + B[j+1, i] + B[j, i-1] + B[j, i+1]) } }\n\
         for i = 2, N - 1 { for j = 2, N - 1 { B[j, i] = f(A[j, i]) } }\n";
 
+    /// Independent reference for the model: exact distances from
+    /// `ReuseDistanceAnalyzer` under the reference interpreter, classified
+    /// against every capacity and attributed per array. It shares no code
+    /// with the `CapacityStack` behind the probes, so a bug there cannot
+    /// pass these tests by agreeing with itself.
     fn simulate(prog: &Program, spec: &SweepSpec, n: i64) -> ProbeCounts {
-        let layout: LayoutFor<'_> = Box::new(|b| DataLayout::column_major(prog, b, 0));
-        probe(prog, spec, ExecEngine::default(), u64::MAX, &layout, n).unwrap()
+        struct Reference {
+            rd: ReuseDistanceAnalyzer,
+            caps_lines: Vec<u64>,
+            counts: ProbeCounts,
+        }
+        impl TraceSink for Reference {
+            fn access(&mut self, ev: AccessEvent) {
+                let a = ev.array.index();
+                self.counts.refs += 1;
+                self.counts.refs_per_array[a] += 1;
+                let d = self.rd.access(ev.addr);
+                for (ci, &cap) in self.caps_lines.iter().enumerate() {
+                    if d.is_none_or(|d| d >= cap) {
+                        self.counts.misses[ci] += 1;
+                        self.counts.misses_per_array[ci][a] += 1;
+                    }
+                }
+            }
+        }
+        let (arrays, caps) = (prog.arrays.len(), spec.capacities.len());
+        let mut sink = Reference {
+            rd: ReuseDistanceAnalyzer::new(spec.line),
+            caps_lines: spec.capacities.iter().map(|c| c / spec.line).collect(),
+            counts: ProbeCounts {
+                refs: 0,
+                refs_per_array: vec![0; arrays],
+                misses: vec![0; caps],
+                misses_per_array: vec![vec![0; arrays]; caps],
+            },
+        };
+        let bind = ParamBinding::new(vec![n; prog.params.len()]);
+        let layout = DataLayout::column_major(prog, &bind, 0);
+        Machine::with_layout(prog, bind, layout)
+            .with_engine(ExecEngine::Interp)
+            .run_steps(&mut sink, spec.steps);
+        sink.counts
     }
 
     #[test]
@@ -970,7 +1029,7 @@ mod tests {
     #[test]
     fn stream_kernel_matches_simulation_everywhere() {
         let prog = parse(STREAM);
-        let spec = SweepSpec::new(32, vec![256, 1024], 1);
+        let spec = SweepSpec::new(32, vec![32, 64, 256, 1024], 1);
         let an = Analyzer::analyze(&prog, spec.clone()).unwrap();
         assert_eq!(an.model().class, Class::Exact);
         assert_eq!(an.model().tolerance, 0.0);
@@ -993,7 +1052,7 @@ mod tests {
     #[test]
     fn laplace_matches_simulation_at_independent_sizes() {
         let prog = parse(LAPLACE);
-        let spec = SweepSpec::new(32, vec![256, 1024], 2);
+        let spec = SweepSpec::new(32, vec![32, 64, 256, 1024], 2);
         let an = Analyzer::analyze(&prog, spec.clone()).unwrap();
         assert_eq!(an.model().class, Class::Exact);
         let base = an.model().base;
@@ -1024,7 +1083,7 @@ mod tests {
     #[test]
     fn small_sizes_use_direct_simulation() {
         let prog = parse(LAPLACE);
-        let spec = SweepSpec::new(32, vec![1024], 1);
+        let spec = SweepSpec::new(32, vec![32, 64, 1024], 1);
         let an = Analyzer::analyze(&prog, spec.clone()).unwrap();
         let n = 5;
         assert!(n < an.model().base);
@@ -1032,7 +1091,8 @@ mod tests {
         assert_eq!(pred.method, Method::Direct);
         let sim = simulate(&prog, &spec, n);
         assert_eq!(pred.refs, sim.refs as u128);
-        assert_eq!(pred.capacities[0].misses, sim.misses[0] as u128);
+        let misses: Vec<u128> = pred.capacities.iter().map(|c| c.misses).collect();
+        assert_eq!(misses, sim.misses.iter().map(|&m| m as u128).collect::<Vec<_>>());
     }
 
     #[test]
